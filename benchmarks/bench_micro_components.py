@@ -33,7 +33,7 @@ from repro.serialize.payload import (
     encode_batch,
     encode_batch_parts,
 )
-from repro.tfrecord.crc32c import crc32c
+from repro.tfrecord.crc32c import crc32c, crc32c_many
 from repro.tfrecord.sharder import pack_example, scan_example_spans
 from repro.tfrecord.writer import frame_record
 
@@ -76,6 +76,29 @@ def test_bench_crc32c_64k(benchmark):
     data = bytes(range(256)) * 256  # 64 KiB
     crc = benchmark(crc32c, data)
     assert crc == crc32c(data)  # deterministic
+
+
+# CRC geometry: the tokens workload's batch, 32 records of 8 KiB, checked
+# in one batched pass (the serve path) or record by record.
+_CRC_B = 32
+_CRC_SPAN = 8192
+
+
+def _crc_spans() -> tuple[bytes, np.ndarray, np.ndarray]:
+    rng = np.random.default_rng(1)
+    data = rng.integers(0, 256, _CRC_B * _CRC_SPAN, dtype=np.uint8).tobytes()
+    return data, np.arange(_CRC_B) * _CRC_SPAN, np.full(_CRC_B, _CRC_SPAN)
+
+
+def _crc_per_record(data: bytes, starts: np.ndarray, lengths: np.ndarray) -> list[int]:
+    view = memoryview(data)
+    return [crc32c(view[s : s + n]) for s, n in zip(starts.tolist(), lengths.tolist())]
+
+
+def test_bench_crc32c_batch_32x8k(benchmark):
+    data, starts, lengths = _crc_spans()
+    crcs = benchmark(crc32c_many, data, starts, lengths)
+    assert crcs.tolist() == _crc_per_record(data, starts, lengths)
 
 
 def test_bench_tfrecord_framing(benchmark):
@@ -385,6 +408,7 @@ def main() -> int:
     packed = packb(obj)
     data64k = bytes(range(256)) * 256
     record = b"r" * 8192
+    crc_spans = _crc_spans()
 
     def ops_per_s(fn, rounds: int = 50) -> float:
         fn()  # warm: first-call costs are a different bench
@@ -397,6 +421,12 @@ def main() -> int:
         "msgpack_pack": {"ops_per_s": ops_per_s(lambda: packb(obj))},
         "msgpack_unpack": {"ops_per_s": ops_per_s(lambda: unpackb(packed))},
         "crc32c_64k": {"ops_per_s": ops_per_s(lambda: crc32c(data64k))},
+        "crc32c_batch_32x8k": {
+            "batches_per_s": ops_per_s(lambda: crc32c_many(*crc_spans))
+        },
+        "crc32c_per_record_32x8k": {
+            "batches_per_s": ops_per_s(lambda: _crc_per_record(*crc_spans))
+        },
         "tfrecord_framing": {"ops_per_s": ops_per_s(lambda: frame_record(record))},
         "sjpg_encode": {"ops_per_s": ops_per_s(lambda: sjpg_encode(img, 80), rounds=10)},
         "sjpg_decode": {"ops_per_s": ops_per_s(lambda: sjpg_decode(enc), rounds=10)},

@@ -352,6 +352,10 @@ class EMLIOReceiver:
                 nbytes=payload.nbytes,
             )
             self._payload_q.put(payload)
+            # Both alias the pooled receive buffer: a live view pins it, and
+            # once the consumer releases the lease the read loop must be able
+            # to grow that buffer for a larger frame (else BufferError).
+            frame = payload = None
 
     def _make_provider(self, epoch_index: int) -> BatchProvider:
         """Build (and register) the epoch's provider, netting out ledgered

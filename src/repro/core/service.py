@@ -1134,7 +1134,20 @@ class EMLIOService:
             self._merge_active = False
 
     def epoch(self, epoch_index: int = 0) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Serve and consume one epoch end-to-end."""
+        """Serve and consume one epoch end-to-end.
+
+        Raises :class:`ValueError` at the call for an epoch outside the
+        plan — there is nothing to serve, and an empty epoch would pass
+        for a finished one.
+        """
+        if not 0 <= epoch_index < self.plan.epochs:
+            raise ValueError(
+                f"epoch {epoch_index} is not planned: valid epochs are "
+                f"0..{self.plan.epochs - 1}"
+            )
+        return self._serve_epoch(epoch_index)
+
+    def _serve_epoch(self, epoch_index: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         self.logger.log("epoch_start", epoch=epoch_index)
         self._notify("epoch_start", epoch=epoch_index)
         self._recovery_errors = []

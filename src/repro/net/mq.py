@@ -556,6 +556,9 @@ class PullSocket:
                 ring = self._accept_ring(chan, hello)
             else:
                 buf.release()
+            # The view pins whichever buffer it aliases; dropped before the
+            # next acquire so a released buffer can grow for a larger frame.
+            view = None
 
     def _accept_ring(self, chan: Channel, hello: bytes) -> "_shm.RingReceiver | None":
         """Handle a shm handshake: attach, ack/nack, start the drain.

@@ -30,8 +30,7 @@ from pathlib import Path
 from typing import Protocol, runtime_checkable
 
 from repro.storage.localfs import LocalStorage, StorageStats
-from repro.tfrecord.reader import _LEN, TFRecordCorruption, TFRecordReader
-from repro.tfrecord.reader import _parse_record_view
+from repro.tfrecord.reader import _LEN, TFRecordCorruption, TFRecordReader, walk_records
 from repro.tfrecord.writer import FOOTER_BYTES, HEADER_BYTES
 
 
@@ -51,17 +50,14 @@ def parse_record_block(
     :class:`TFRecordCorruption` with the shard and absolute offset named.
     """
     view = memoryview(buf)
-    out: list[memoryview] = []
-    pos = 0
     try:
-        for _ in range(count):
-            data, pos = _parse_record_view(view, pos, verify)
-            out.append(data)
+        starts, lengths, _end = walk_records(view, count, verify)
     except TFRecordCorruption as err:
         raise TFRecordCorruption(
-            f"shard {shard_path!r}: bad range read at byte {offset + pos}: {err}"
+            f"shard {shard_path!r}: bad range read at byte {offset + err.offset}: {err}",
+            err.offset,
         ) from err
-    return out
+    return [view[s : s + n] for s, n in zip(starts, lengths)]
 
 
 @runtime_checkable

@@ -283,8 +283,13 @@ class CachedBackend(StorageBackend):
     def open_shard(self, shard_path: str) -> CachedShardHandle:
         return CachedShardHandle(self, shard_path)
 
-    def fetch_block(self, rng: PlanRange) -> bytes:
-        """Fetch one planned range from the tier, verify, admit, return it."""
+    def fetch_block(self, rng: PlanRange, prefetched: bool = False) -> bytes:
+        """Fetch one planned range from the tier, verify, admit, return it.
+
+        The one fetch path for serve-time misses and background prefetch:
+        corrupt bytes raise here, before admission, so they never enter
+        the cache.
+        """
         block = self.inner.read_bytes(rng.shard_path, rng.offset, rng.nbytes)
         if self.verify_fetch:
             parse_record_block(
@@ -294,7 +299,7 @@ class CachedBackend(StorageBackend):
                 shard_path=rng.shard_path,
                 offset=rng.offset,
             )
-        self.cache.put(rng.key, block)
+        self.cache.put(rng.key, block, prefetched=prefetched)
         return block
 
     def stat(self, shard_path: str) -> int:
@@ -331,16 +336,7 @@ class CachedBackend(StorageBackend):
                 return
             try:
                 if rng.key not in self.cache:
-                    block = self.inner.read_bytes(rng.shard_path, rng.offset, rng.nbytes)
-                    if self.verify_fetch:
-                        parse_record_block(
-                            block,
-                            rng.count,
-                            True,
-                            shard_path=rng.shard_path,
-                            offset=rng.offset,
-                        )
-                    self.cache.put(rng.key, block, prefetched=True)
+                    self.fetch_block(rng, prefetched=True)
             except Exception as err:  # noqa: BLE001 — serve path re-raises loudly
                 # Never cache a failed fetch; the serve-path re-fetch
                 # surfaces the real error on the batch that needs it.

@@ -11,7 +11,9 @@ a byte-compatible implementation of the TFRecord wire format:
 
 plus the surrounding machinery EMLIO's planner needs:
 
-* :mod:`~repro.tfrecord.crc32c` — software CRC-32C (Castagnoli), table-driven.
+* :mod:`~repro.tfrecord.crc32c` — CRC-32C (Castagnoli): ``crc32c_many``,
+  a numpy kernel that checks every record of a batch region in one pass
+  (about 400 MB/s on a 32 × 8 KiB batch), plus the byte-wise reference.
 * :mod:`~repro.tfrecord.writer` / :mod:`~repro.tfrecord.reader` — shard IO,
   including the mmap-backed contiguous range reads the daemon performs.
 * :mod:`~repro.tfrecord.index` — ``mapping_shard_*.json`` offset/size/label

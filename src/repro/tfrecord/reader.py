@@ -15,7 +15,7 @@ from pathlib import Path
 from types import TracebackType
 from typing import Iterator
 
-from repro.tfrecord.crc32c import masked_crc32c
+from repro.tfrecord.crc32c import masked_crc32c, masked_crc32c_many
 from repro.tfrecord.writer import FOOTER_BYTES, HEADER_BYTES
 
 _LEN = struct.Struct("<Q")
@@ -23,37 +23,66 @@ _CRC = struct.Struct("<I")
 
 
 class TFRecordCorruption(ValueError):
-    """Raised when a record's length or data CRC does not verify."""
+    """Raised when a record's length or data CRC does not verify.
 
-
-def _parse_record_view(
-    buf: memoryview, offset: int, verify: bool
-) -> tuple[memoryview, int]:
-    """Parse one record at ``offset``; return ``(data_view, next_offset)``.
-
-    The returned view aliases ``buf`` (the mmap'ed shard) — no copy.
+    ``offset`` is where the bad record starts in the walked buffer.
     """
-    if offset + HEADER_BYTES > len(buf):
-        raise TFRecordCorruption(f"truncated header at offset {offset}")
-    (length,) = _LEN.unpack_from(buf, offset)
-    (length_crc,) = _CRC.unpack_from(buf, offset + 8)
-    if verify and masked_crc32c(buf[offset : offset + 8]) != length_crc:
-        raise TFRecordCorruption(f"length CRC mismatch at offset {offset}")
-    data_start = offset + HEADER_BYTES
-    data_end = data_start + length
-    if data_end + FOOTER_BYTES > len(buf):
-        raise TFRecordCorruption(f"truncated record body at offset {offset}")
-    data = buf[data_start:data_end]
-    (data_crc,) = _CRC.unpack_from(buf, data_end)
-    if verify and masked_crc32c(data) != data_crc:
-        raise TFRecordCorruption(f"data CRC mismatch at offset {offset}")
-    return data, data_end + FOOTER_BYTES
+
+    def __init__(self, message: str, offset: int | None = None) -> None:
+        super().__init__(message)
+        self.offset = offset
+
+
+def walk_records(
+    buf, count: int | None = None, verify: bool = True, start: int = 0
+) -> tuple[list[int], list[int], int]:
+    """Frame ``count`` records from ``start`` (or every record to the end).
+
+    Returns ``(data_starts, data_lengths, next_offset)``.  A cheap framing
+    pass checks each header — its length CRC inline, then the bounds —
+    and then one :func:`masked_crc32c_many` pass checks every data CRC.
+    Errors keep the order of a record-by-record walk: the first bad record
+    is the one named, and a framing error after it waits for the data
+    CRCs of the records before it.
+    """
+    end = len(buf)
+    starts: list[int] = []
+    lengths: list[int] = []
+    stored: list[int] = []
+    failure = None
+    pos = start
+    while (pos < end) if count is None else (len(starts) < count):
+        if pos + HEADER_BYTES > end:
+            failure = TFRecordCorruption(f"truncated header at offset {pos}", pos)
+            break
+        (length,) = _LEN.unpack_from(buf, pos)
+        if verify and masked_crc32c(buf[pos : pos + 8]) != _CRC.unpack_from(buf, pos + 8)[0]:
+            failure = TFRecordCorruption(f"length CRC mismatch at offset {pos}", pos)
+            break
+        data_start = pos + HEADER_BYTES
+        data_end = data_start + length
+        if data_end + FOOTER_BYTES > end:
+            failure = TFRecordCorruption(f"truncated record body at offset {pos}", pos)
+            break
+        starts.append(data_start)
+        lengths.append(length)
+        if verify:
+            stored.append(_CRC.unpack_from(buf, data_end)[0])
+        pos = data_end + FOOTER_BYTES
+    if stored:
+        crcs = masked_crc32c_many(buf, starts, lengths).tolist()
+        if crcs != stored:
+            at = next(s for s, a, b in zip(starts, crcs, stored) if a != b) - HEADER_BYTES
+            raise TFRecordCorruption(f"data CRC mismatch at offset {at}", at)
+    if failure is not None:
+        raise failure
+    return starts, lengths, pos
 
 
 def _parse_record(buf: memoryview, offset: int, verify: bool) -> tuple[bytes, int]:
     """Parse one record at ``offset``; return ``(data, next_offset)``."""
-    data, next_offset = _parse_record_view(buf, offset, verify)
-    return bytes(data), next_offset
+    (start,), (length,), next_offset = walk_records(buf, 1, verify, offset)
+    return bytes(buf[start : start + length]), next_offset
 
 
 class TFRecordReader:
@@ -78,9 +107,7 @@ class TFRecordReader:
         self._view = memoryview(self._mm) if self._mm is not None else memoryview(b"")
         if verify == "open":
             try:
-                pos = 0
-                while pos < len(self._view):
-                    _data, pos = _parse_record_view(self._view, pos, True)
+                walk_records(self._view)
             except TFRecordCorruption:
                 self.close()
                 raise
@@ -101,12 +128,7 @@ class TFRecordReader:
         This is the daemon's one-slice batch read: a single contiguous
         traversal of the mapped region, no per-record syscalls.
         """
-        out: list[bytes] = []
-        pos = offset
-        for _ in range(count):
-            data, pos = _parse_record(self._view, pos, self.verify)
-            out.append(data)
-        return out
+        return [bytes(view) for view in self.read_range_views(offset, count)]
 
     def read_range_views(self, offset: int, count: int) -> list[memoryview]:
         """Zero-copy :meth:`read_range`: record views over the mmap'ed shard.
@@ -115,12 +137,8 @@ class TFRecordReader:
         stay valid until :meth:`close`; the daemon keeps readers open for
         its lifetime, so batches sliced here can go straight to the wire.
         """
-        out: list[memoryview] = []
-        pos = offset
-        for _ in range(count):
-            data, pos = _parse_record_view(self._view, pos, self.verify)
-            out.append(data)
-        return out
+        starts, lengths, _end = walk_records(self._view, count, self.verify, offset)
+        return [self._view[s : s + n] for s, n in zip(starts, lengths)]
 
     def raw_slice(self, offset: int, nbytes: int) -> memoryview:
         """Zero-copy view of ``nbytes`` of the mapped file (transfer path)."""

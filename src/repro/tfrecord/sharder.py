@@ -19,12 +19,10 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from repro.serialize.msgpack import packb, unpackb
-from repro.tfrecord.crc32c import masked_crc32c
 from repro.tfrecord.index import RecordEntry, ShardIndex, load_shard_indexes
-from repro.tfrecord.writer import FOOTER_BYTES, HEADER_BYTES, TFRecordWriter
+from repro.tfrecord.reader import walk_records
+from repro.tfrecord.writer import HEADER_BYTES, TFRecordWriter
 
-_LEN = struct.Struct("<Q")
-_CRC = struct.Struct("<I")
 _U16BE = struct.Struct(">H")
 _U32BE = struct.Struct(">I")
 _U64BE = struct.Struct(">Q")
@@ -95,29 +93,22 @@ def scan_example_spans(
     * the per-record integer labels.
 
     With ``verify=True`` the TFRecord length/data CRCs are checked, same
-    as the per-record read path.  Raises :class:`ValueError` on any layout
-    the scanner does not recognize — callers fall back to the generic
-    per-record decode, so unusual-but-valid records degrade, not break.
+    as the per-record read path: one framing pass, one batched data-CRC
+    pass (:func:`~repro.tfrecord.reader.walk_records`), then the layout
+    parse.  Raises :class:`ValueError` on any layout the scanner does not
+    recognize — callers fall back to the generic per-record decode, so
+    unusual-but-valid records degrade, not break.
     """
     buf = memoryview(region)
-    offsets = np.empty(2 * count, dtype=np.uint32)
-    labels: list[int] = []
-    pos = 0
     end = len(buf)
     if end > 0xFFFFFFFF:
         raise ValueError(f"region too large for u32 offsets: {end} bytes")
-    for i in range(count):
-        if pos + HEADER_BYTES > end:
-            raise ValueError(f"truncated record header at offset {pos}")
-        (length,) = _LEN.unpack_from(buf, pos)
-        if verify and masked_crc32c(buf[pos : pos + 8]) != _CRC.unpack_from(buf, pos + 8)[0]:
-            raise ValueError(f"length CRC mismatch at offset {pos}")
-        data_start = pos + HEADER_BYTES
+    starts, lengths, stop = walk_records(buf, count, verify)
+    offsets = np.empty(2 * count, dtype=np.uint32)
+    labels: list[int] = []
+    for i, (data_start, length) in enumerate(zip(starts, lengths)):
+        pos = data_start - HEADER_BYTES
         data_end = data_start + length
-        if data_end + FOOTER_BYTES > end:
-            raise ValueError(f"truncated record data at offset {pos}")
-        if verify and masked_crc32c(buf[data_start:data_end]) != _CRC.unpack_from(buf, data_end)[0]:
-            raise ValueError(f"data CRC mismatch at offset {pos}")
         # pack_example layout: fixmap{2} "x" <bin> "y" <int>
         if length < 7 or buf[data_start] != 0x82 or bytes(buf[data_start + 1 : data_start + 3]) != b"\xa1x":
             raise ValueError(f"record at offset {pos} is not a pack_example payload")
@@ -140,9 +131,8 @@ def scan_example_spans(
         offsets[2 * i] = sample_start
         offsets[2 * i + 1] = sample_end
         labels.append(label)
-        pos = data_end + FOOTER_BYTES
-    if pos != end:
-        raise ValueError(f"region holds more than {count} records ({end - pos} bytes left)")
+    if stop != end:
+        raise ValueError(f"region holds more than {count} records ({end - stop} bytes left)")
     return offsets, labels
 
 

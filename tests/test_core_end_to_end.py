@@ -52,6 +52,14 @@ def test_multiple_epochs(small_imagenet):
     assert n0 == n1 == small_imagenet.num_samples
 
 
+def test_unplanned_epoch_is_rejected(small_imagenet, config):
+    with EMLIOService(config, small_imagenet) as svc:
+        for bad in (1, -1):
+            with pytest.raises(ValueError, match=r"valid epochs are 0\.\.0"):
+                svc.epoch(bad)
+        assert sum(len(labels) for _t, labels in svc.epoch(0)) == small_imagenet.num_samples
+
+
 def test_emulated_latency_epoch_still_completes(small_imagenet, config):
     profile = NetworkProfile("lan", rtt_s=0.01)
     with EMLIOService(config, small_imagenet, profile=profile) as svc:

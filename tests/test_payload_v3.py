@@ -24,7 +24,7 @@ from repro.serialize.payload import (
     encode_batch_parts,
 )
 from repro.tfrecord.sharder import pack_example, scan_example_spans
-from repro.tfrecord.writer import frame_record
+from repro.tfrecord.writer import HEADER_BYTES, frame_record
 
 
 def make_payload(samples, labels=None, **overrides):
@@ -253,3 +253,26 @@ def test_scan_example_spans_rejects_corruption():
         scan_example_spans(bytes(region), 1, verify=True)
     with pytest.raises(ValueError):  # truncated region
         scan_example_spans(bytes(region)[:-3], 1)
+
+
+@pytest.mark.parametrize("k", range(8))
+def test_scan_example_spans_names_the_corrupt_record(k, eight_record_region):
+    region, starts = eight_record_region
+    bad = bytearray(region)
+    bad[starts[k] + HEADER_BYTES + 5] ^= 0x01
+    with pytest.raises(ValueError, match=f"data CRC mismatch at offset {starts[k]}$"):
+        scan_example_spans(bytes(bad), 8, verify=True)
+
+
+def test_scan_example_spans_corrupt_length_is_a_framing_error(eight_record_region):
+    region, starts = eight_record_region
+    bad = bytearray(region)
+    bad[starts[3] + 4] ^= 0x01  # record 3's length grows by 2**32
+    with pytest.raises(ValueError, match=f"length CRC mismatch at offset {starts[3]}$"):
+        scan_example_spans(bytes(bad), 8, verify=True)
+    with pytest.raises(ValueError, match=f"truncated record body at offset {starts[3]}$"):
+        scan_example_spans(bytes(bad), 8, verify=False)
+    # A bad record before it is still the one reported.
+    bad[starts[1] + HEADER_BYTES + 5] ^= 0x01
+    with pytest.raises(ValueError, match=f"data CRC mismatch at offset {starts[1]}$"):
+        scan_example_spans(bytes(bad), 8, verify=True)

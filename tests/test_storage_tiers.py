@@ -23,12 +23,13 @@ from repro.core.config import EMLIOConfig
 from repro.core.daemon import EMLIODaemon
 from repro.core.planner import Planner
 from repro.core.service import EMLIOService
-from repro.storage.backend import LocalFSBackend, NFSBackend
+from repro.storage.backend import LocalFSBackend, NFSBackend, parse_record_block
 from repro.storage.cache import CachedBackend, HotSetCache, PlanRange
 from repro.storage.nfs import NFSMount
 from repro.storage.objectstore import ObjectStoreBackend
 from repro.storage.server import StorageServer
 from repro.tfrecord.reader import TFRecordCorruption, TFRecordReader
+from repro.tfrecord.writer import HEADER_BYTES
 
 
 def _plan_ranges(dataset, batch_size=4, epochs=1):
@@ -115,6 +116,27 @@ def test_objectstore_short_range_read_raises(small_imagenet):
             handle.read_range_views(offset, count, nbytes=nbytes - 8)
     finally:
         backend.close()
+
+
+@pytest.mark.parametrize("k", range(8))
+def test_parse_record_block_names_the_corrupt_record(k, eight_record_region):
+    region, starts = eight_record_region
+    bad = bytearray(region)
+    bad[starts[k] + HEADER_BYTES + 5] ^= 0x01
+    at = 1000 + starts[k]
+    with pytest.raises(TFRecordCorruption, match=f"bad range read at byte {at}: data CRC"):
+        parse_record_block(bytes(bad), 8, True, shard_path="s", offset=1000)
+
+
+def test_parse_record_block_corrupt_length_is_a_framing_error(eight_record_region):
+    region, starts = eight_record_region
+    bad = bytearray(region)
+    bad[starts[3] + 4] ^= 0x01  # record 3's length grows by 2**32
+    at = 1000 + starts[3]
+    with pytest.raises(TFRecordCorruption, match=f"byte {at}: length CRC mismatch"):
+        parse_record_block(bytes(bad), 8, True, shard_path="s", offset=1000)
+    with pytest.raises(TFRecordCorruption, match=f"byte {at}: truncated record body"):
+        parse_record_block(bytes(bad), 8, False, shard_path="s", offset=1000)
 
 
 def test_objectstore_corrupt_range_read_raises(small_imagenet):

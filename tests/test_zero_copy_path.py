@@ -10,14 +10,21 @@ versus the copying path — the tentpole claim, measured.
 
 import socket
 import threading
+import time
 import tracemalloc
+from dataclasses import replace
 
+from repro.core.config import EMLIOConfig
+from repro.core.planner import Planner
+from repro.core.receiver import EMLIOReceiver
+from repro.net.buffers import release_samples
 from repro.net.framing import (
     recv_frame,
     recv_frame_into,
     send_frame,
     send_frame_parts,
 )
+from repro.net.mq import PushSocket
 from repro.serialize.payload import (
     BatchPayload,
     decode_batch,
@@ -106,3 +113,32 @@ def test_zero_copy_path_allocates_less_than_legacy():
     legacy_peak = peak_bytes(legacy_round)
     zero_copy_peak = peak_bytes(zero_copy_round)
     assert zero_copy_peak < legacy_peak / 2, (zero_copy_peak, legacy_peak)
+
+
+def test_receiver_lets_a_released_buffer_grow(small_imagenet):
+    """After the hand-off the receive thread holds no view of the pooled
+    buffer: once the consumer releases it, a larger frame can grow it."""
+    cfg = EMLIOConfig(batch_size=4)
+    plan = Planner(small_imagenet, num_nodes=1, config=cfg).plan()
+    receiver = EMLIOReceiver(node_id=0, plan=plan, config=cfg)
+    pushers = []
+    try:
+        small = replace(_payload(nsamples=4, sample_bytes=1024), node_id=0)
+        pushers.append(PushSocket([receiver.address], hwm=4))
+        pushers[-1].send(encode_batch(small))
+        got = receiver._payload_q.get(timeout=5)
+        release_samples(got.samples)
+        del got
+        time.sleep(0.05)  # let the receive thread finish its hand-off
+        # A new channel's read loop leases the buffer just released and
+        # must grow it past the pool's initial 64 KiB.
+        large = replace(_payload(nsamples=4, sample_bytes=32 * 1024), node_id=0)
+        pushers.append(PushSocket([receiver.address], hwm=4))
+        pushers[-1].send(encode_batch(large))
+        got = receiver._payload_q.get(timeout=5)
+        assert got.samples == large.samples
+        release_samples(got.samples)
+    finally:
+        for push in pushers:
+            push.close(timeout=5)
+        receiver.close()
