@@ -13,7 +13,7 @@ from conftest import run_once, show
 from repro.beton.format import write_beton
 from repro.beton.loader import FFCVStyleLoader
 from repro.loaders.pytorch_loader import PyTorchStyleLoader
-from repro.storage.localfs import LocalStorage
+from repro.storage.backend import LocalFSBackend
 from repro.tfrecord.reader import TFRecordReader
 from repro.tfrecord.sharder import unpack_example
 
@@ -31,7 +31,7 @@ def test_ffcv_vs_per_sample_local(benchmark, small_imagenet_ds):
     def run_both():
         import time
 
-        storage = LocalStorage(small_imagenet_ds.root)
+        storage = LocalFSBackend(small_imagenet_ds.root)
         pt = PyTorchStyleLoader(
             small_imagenet_ds, storage, batch_size=8, num_workers=2, output_hw=(16, 16)
         )

@@ -13,12 +13,13 @@ files, and tests share — build one in code, or load it from JSON/TOML:
 
 Specs serialize losslessly: ``ClusterSpec.from_file(p)`` after
 ``spec.to_file(p)`` compares equal for both formats.  Every field is
-validated on construction; loading rejects unknown keys loudly, so a typo
-in a scenario file fails the dry-run instead of silently deploying a
-default.  Component *names* (codec, network profile, power models) are
-string references resolved against :mod:`repro.api.registry` at deploy
-time — validation of those happens when deploying, not when parsing, so
-specs can name components registered later.
+validated on construction; construction and loading both reject unknown
+keys loudly, so a typo in a scenario file fails the dry-run instead of
+silently deploying a default.  Component *names* (codec, network profile,
+power models) are string references resolved against
+:mod:`repro.api.registry` at deploy time — validation of those happens
+when deploying, not when parsing, so specs can name components registered
+later.
 """
 
 from __future__ import annotations
@@ -52,6 +53,16 @@ def _check_keys(cls, data: dict, where: str) -> None:
         )
 
 
+class _Section:
+    """Base of every spec dataclass: a keyword argument that names no field
+    raises :class:`SpecError` naming it, exactly as an unknown key in a
+    spec file does (a removed knob fails loudly, not as a ``TypeError``)."""
+
+    def __new__(cls, *args, **kwargs):
+        _check_keys(cls, kwargs, cls.__name__)
+        return super().__new__(cls)
+
+
 def _pair(value: Any, where: str) -> tuple[int, int]:
     if (
         not isinstance(value, (list, tuple))
@@ -76,7 +87,7 @@ def _construct(cls, data: dict, where: str):
 
 
 @dataclass(frozen=True)
-class DatasetSpec:
+class DatasetSpec(_Section):
     """What the deployment serves.
 
     ``kind="existing"`` opens an already-sharded TFRecord dataset at
@@ -124,7 +135,7 @@ class DatasetSpec:
 
 
 @dataclass(frozen=True)
-class PipelineSpec:
+class PipelineSpec(_Section):
     """Pipeline tunables — mirrors :class:`~repro.core.config.EMLIOConfig`
     plus the ``codec`` registry name resolving the batch preprocessor."""
 
@@ -140,7 +151,6 @@ class PipelineSpec:
     seed: int = 0
     reorder_window: int = 0
     codec: str = "auto"
-    payload_version: int = 3
 
     def __post_init__(self) -> None:
         _require(bool(self.codec) and isinstance(self.codec, str),
@@ -164,7 +174,6 @@ class PipelineSpec:
             coverage=self.coverage,
             seed=self.seed,
             reorder_window=self.reorder_window,
-            payload_version=self.payload_version,
         )
 
     @classmethod
@@ -177,7 +186,7 @@ class PipelineSpec:
 
 
 @dataclass(frozen=True)
-class DaemonSpec:
+class DaemonSpec(_Section):
     """One storage daemon: its root directory and (optionally) the shard
     names it owns.  ``shards=None`` means every shard in the plan."""
 
@@ -206,7 +215,7 @@ class DaemonSpec:
 
 
 @dataclass(frozen=True)
-class StorageSpec:
+class StorageSpec(_Section):
     """Storage-daemon topology.
 
     Either ``num_daemons`` (> 1 splits the dataset's shards evenly across
@@ -280,7 +289,7 @@ class StorageSpec:
 
 
 @dataclass(frozen=True)
-class ReceiverSpec:
+class ReceiverSpec(_Section):
     """Compute nodes consuming the stream."""
 
     num_nodes: int = 1
@@ -299,7 +308,7 @@ class ReceiverSpec:
 
 
 @dataclass(frozen=True)
-class NetworkSpec:
+class NetworkSpec(_Section):
     """Link emulation between daemons and receivers.
 
     Name a registered profile (``profile="wan-30ms"``) *or* describe the
@@ -356,7 +365,7 @@ class NetworkSpec:
 
 
 @dataclass(frozen=True)
-class RecoverySpec:
+class RecoverySpec(_Section):
     """Fault-tolerance and membership policy (flattened
     :class:`~repro.core.recovery.RecoveryConfig`).  ``enabled=False``
     keeps the original fail-fast pipeline."""
@@ -421,7 +430,7 @@ class RecoverySpec:
 
 
 @dataclass(frozen=True)
-class ElasticSpec:
+class ElasticSpec(_Section):
     """Elastic-membership policy: mid-run joins and load rebalancing.
 
     Mirrors :class:`~repro.core.placement.ElasticPolicy`.  ``admit="auto"``
@@ -460,7 +469,7 @@ class ElasticSpec:
 
 
 @dataclass(frozen=True)
-class ChaosEventSpec:
+class ChaosEventSpec(_Section):
     """One scheduled fault/join: ``at_s`` seconds after the first epoch
     starts, apply ``action`` to ``target``.
 
@@ -500,7 +509,7 @@ class ChaosEventSpec:
 
 
 @dataclass(frozen=True)
-class ChaosSpec:
+class ChaosSpec(_Section):
     """Scheduled chaos: kill/hang/join events driven by the deployment.
 
     Keeps drill scripts in scenario files — the schedule is anchored at
@@ -523,7 +532,7 @@ class ChaosSpec:
 
 
 @dataclass(frozen=True)
-class EnergySpec:
+class EnergySpec(_Section):
     """Energy monitoring: power-model registry names + sampling period."""
 
     enabled: bool = False
@@ -543,7 +552,7 @@ class EnergySpec:
 
 
 @dataclass(frozen=True)
-class ObservabilitySpec:
+class ObservabilitySpec(_Section):
     """Telemetry plane: metrics scrape endpoint and per-batch tracing.
 
     ``metrics_port`` exposes the deployment's metric registry over HTTP
@@ -585,7 +594,7 @@ class ObservabilitySpec:
 
 
 @dataclass(frozen=True)
-class ClusterSpec:
+class ClusterSpec(_Section):
     """One deployable EMLIO cluster, declaratively."""
 
     name: str = "emlio"

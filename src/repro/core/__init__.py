@@ -37,7 +37,6 @@ from repro.core.recovery import (
     DaemonKilled,
     DeliveryLedger,
     EpochServeError,
-    FailoverCoordinator,
     FailoverError,
     NodeUnreachable,
     ReceiverReassignment,
@@ -64,7 +63,6 @@ __all__ = [
     "DaemonKilled",
     "DeliveryLedger",
     "EpochServeError",
-    "FailoverCoordinator",
     "FailoverError",
     "NodeUnreachable",
     "ReceiverKilled",

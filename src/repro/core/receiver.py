@@ -50,7 +50,7 @@ _SAMPLED_KEYS_BOUND = 4096
 
 class ReceiverKilled(RuntimeError):
     """This compute node was killed (chaos injection or operator action)
-    mid-epoch; its undelivered batches are the FailoverCoordinator's job."""
+    mid-epoch; its undelivered batches are the PlacementEngine's job."""
 
 
 class EMLIOReceiver:
@@ -249,7 +249,7 @@ class EMLIOReceiver:
         epoch's provider aborts instead of stalling out its timeout, and
         in-flight batches are dropped — the transport-level signature of a
         dead compute node.  Recovery of its undelivered batches is the
-        FailoverCoordinator's job.
+        PlacementEngine's job.
         """
         if self._killed.is_set():
             return

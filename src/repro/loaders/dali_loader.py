@@ -92,7 +92,7 @@ class DALIStyleLoader:
                     return
                 path, offset, nbytes, labels = task
                 try:
-                    blob = self.storage.read_at(path, offset, nbytes)
+                    blob = self.storage.read_bytes(path, offset, nbytes)
                     self.stats.record_read(len(blob))
                     samples = []
                     view = memoryview(blob)

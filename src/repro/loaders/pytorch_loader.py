@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.gpu.ops import preprocess_batch  # executed on the CPU in this baseline
 from repro.loaders.base import LoaderStats, epoch_sample_order
-from repro.storage.localfs import LocalStorage
+from repro.storage.backend import LocalFSBackend
 from repro.tfrecord.reader import _parse_record
 from repro.tfrecord.sharder import ShardedDataset, unpack_example
 
@@ -51,7 +51,7 @@ class PyTorchStyleLoader:
         if num_workers < 1:
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")
         self.dataset = dataset
-        self.storage = storage if storage is not None else LocalStorage(dataset.root)
+        self.storage = storage if storage is not None else LocalFSBackend(dataset.root)
         self.batch_size = batch_size
         self.num_workers = num_workers
         self.prefetch_factor = prefetch_factor
@@ -63,7 +63,7 @@ class PyTorchStyleLoader:
     def _fetch_sample(self, shard_ix, record: int) -> tuple[bytes, int]:
         """One positional read per sample — the baseline's defining cost."""
         entry = shard_ix.entries[record]
-        frame = self.storage.read_at(shard_ix.path, entry.offset, entry.size)
+        frame = self.storage.read_bytes(shard_ix.path, entry.offset, entry.size)
         self.stats.record_read(len(frame))
         data, _next = _parse_record(memoryview(frame), 0, True)
         return unpack_example(data)

@@ -18,9 +18,10 @@ Schema versions on the wire (``v`` key; decode accepts all of them):
   scatter-gather encode emits O(1) segments regardless of B; decode
   reconstructs the batch by offset slicing with zero per-record work.
 
-Which version a daemon *emits* is the ``payload_version`` config knob
-(default v3; forcing 2 is the mixed-version fallback).  Decode always
-accepts every compatible version, so mixed-version clusters interoperate.
+Daemons always emit v3.  Decode accepts every compatible version, so a
+receiver still consumes frames from older v1/v2 senders.  ``version=2``
+on the encoders survives only as the reference row encoder: the v2 decode
+tests and the micro bench's v3-vs-v2 round-trip gate use it.
 """
 
 from __future__ import annotations
@@ -153,8 +154,8 @@ def _schema_dict_v2(payload: BatchPayload) -> dict:
     obj = _header_dict(payload, 2)
     samples = payload.samples
     labels = payload.labels
-    # A columnar batch (or numpy labels) re-encodes row-wise losslessly —
-    # the mixed-version fallback path.
+    # A columnar batch (or numpy labels) re-encodes row-wise losslessly,
+    # so the reference encoder accepts whatever the serve path produced.
     obj["samples"] = samples if isinstance(samples, list) else list(samples)
     obj["labels"] = [int(l) for l in labels] if not isinstance(labels, list) else labels
     obj["meta"] = payload.meta

@@ -8,7 +8,10 @@ contiguous range reads (paper §4.3) — this package provides both sides:
 * :class:`~repro.storage.backend.StorageBackend` — the tier protocol the
   daemon serves through (``open_shard() → ShardHandle`` with CRC-verified
   range reads, plus ``stat``/``listdir``).
-* :class:`~repro.storage.backend.LocalFSBackend` — mmap fast path.
+* :class:`~repro.storage.backend.LocalFSBackend` — mmap fast path, and
+  the one local read path: its root-confined ``read_bytes``/``stat``/
+  ``listdir`` also serve the storage server, the object store and the
+  baseline loaders.
 * :class:`~repro.storage.backend.NFSBackend` — range reads over the
   from-scratch remote-file protocol (:class:`StorageServer` serves a
   directory over a framed channel, one round trip per op;
@@ -18,8 +21,6 @@ contiguous range reads (paper §4.3) — this package provides both sides:
 * :class:`~repro.storage.cache.CachedBackend` — plan-informed hot-set
   cache (bounded bytes, background prefetch, next-planned-use eviction)
   in front of any tier.
-* :class:`~repro.storage.localfs.LocalStorage` — instrumented local reads
-  (the substrate under the server and the object store).
 """
 
 from repro.storage.backend import (
@@ -27,9 +28,9 @@ from repro.storage.backend import (
     NFSBackend,
     ShardHandle,
     StorageBackend,
+    StorageStats,
 )
 from repro.storage.cache import CachedBackend, HotSetCache
-from repro.storage.localfs import LocalStorage, StorageStats
 from repro.storage.nfs import NFSMount
 from repro.storage.objectstore import ObjectStoreBackend
 from repro.storage.server import StorageServer
@@ -38,7 +39,6 @@ __all__ = [
     "CachedBackend",
     "HotSetCache",
     "LocalFSBackend",
-    "LocalStorage",
     "NFSBackend",
     "NFSMount",
     "ObjectStoreBackend",

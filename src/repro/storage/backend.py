@@ -13,7 +13,7 @@ for tooling.  Three tiers implement it:
     shard and batches go to the wire with zero copies (paper §4.3).
 ``nfs``
     :class:`NFSBackend` — wraps an :class:`~repro.storage.nfs.NFSMount`.
-    A batch range is fetched with **one** ``read_at`` round trip (the plan
+    A batch range is fetched with **one** ``read_bytes`` round trip (the plan
     knows ``nbytes``), then parsed and CRC-verified locally.
 ``objectstore``
     :class:`~repro.storage.objectstore.ObjectStoreBackend` — emulated
@@ -26,12 +26,47 @@ range read fails loudly at read time regardless of tier.
 
 from __future__ import annotations
 
+import threading
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Protocol, runtime_checkable
 
-from repro.storage.localfs import LocalStorage, StorageStats
 from repro.tfrecord.reader import _LEN, TFRecordCorruption, TFRecordReader, walk_records
 from repro.tfrecord.writer import FOOTER_BYTES, HEADER_BYTES
+
+
+@dataclass
+class StorageStats:
+    """Operation counters shared by local and remote backends."""
+
+    reads: int = 0
+    bytes_read: int = 0
+    stats: int = 0
+    listdirs: int = 0
+    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+
+    def record_read(self, nbytes: int) -> None:
+        with self._lock:
+            self.reads += 1
+            self.bytes_read += nbytes
+
+    def record_stat(self) -> None:
+        with self._lock:
+            self.stats += 1
+
+    def record_listdir(self) -> None:
+        with self._lock:
+            self.listdirs += 1
+
+    def snapshot(self) -> dict[str, int]:
+        """Point-in-time copy of the counters."""
+        with self._lock:
+            return {
+                "reads": self.reads,
+                "bytes_read": self.bytes_read,
+                "stats": self.stats,
+                "listdirs": self.listdirs,
+            }
 
 
 def parse_record_block(
@@ -142,7 +177,7 @@ class LocalFSHandle:
         self._backend = backend
         self.shard_path = shard_path
         self._reader = TFRecordReader(
-            backend.root / shard_path, verify=backend.verify
+            backend._resolve(shard_path), verify=backend.verify
         )
 
     @property
@@ -187,29 +222,48 @@ class LocalFSHandle:
 
 
 class LocalFSBackend(StorageBackend):
-    """Tier over a local directory — keeps the daemon's mmap serve path."""
+    """Tier over a local directory — the one local read path.
+
+    The daemon serves through :meth:`open_shard` (the mmap fast path);
+    :meth:`read_bytes` is the positional range read that the object
+    store, the storage server, a cache in front of this tier and the
+    baseline loaders share.  Paths may arrive over the network (the
+    storage server), so every entry point resolves them inside
+    :attr:`root` and refuses ``../`` or symlink escapes with
+    :class:`PermissionError`.
+    """
 
     tier = "localfs"
 
     def __init__(self, root: str | Path, verify: bool | str = True) -> None:
-        self.root = Path(root)
+        self.root = Path(root).resolve()
+        if not self.root.is_dir():
+            raise NotADirectoryError(f"storage root {self.root} is not a directory")
         self.verify = verify
         self.stats = StorageStats()
+
+    def _resolve(self, relpath: str) -> Path:
+        p = (self.root / relpath).resolve()
+        if not p.is_relative_to(self.root):
+            raise PermissionError(f"path {relpath!r} escapes storage root")
+        return p
 
     def open_shard(self, shard_path: str) -> LocalFSHandle:
         return LocalFSHandle(self, shard_path)
 
     def stat(self, shard_path: str) -> int:
         self.stats.record_stat()
-        return (self.root / shard_path).stat().st_size
+        return self._resolve(shard_path).stat().st_size
 
     def listdir(self, relpath: str = ".") -> list[str]:
         self.stats.record_listdir()
-        return sorted(p.name for p in (self.root / relpath).iterdir())
+        return sorted(p.name for p in self._resolve(relpath).iterdir())
 
-    # Range-GET primitive, used when this tier sits under a cache.
     def read_bytes(self, shard_path: str, offset: int, nbytes: int) -> bytes:
-        with open(self.root / shard_path, "rb") as fh:
+        """Positional read (``pread`` semantics): one operation, one count."""
+        if offset < 0 or nbytes < 0:
+            raise ValueError(f"invalid read: offset={offset} nbytes={nbytes}")
+        with open(self._resolve(shard_path), "rb") as fh:
             fh.seek(offset)
             data = fh.read(nbytes)
         self.stats.record_read(len(data))
@@ -305,10 +359,10 @@ class NFSBackend(StorageBackend):
         return RemoteShardHandle(self, shard_path, bool(self.verify))
 
     def read_bytes(self, shard_path: str, offset: int, nbytes: int) -> bytes:
-        return self.mount.read_at(shard_path, offset, nbytes)
+        return self.mount.read_bytes(shard_path, offset, nbytes)
 
     def stat(self, shard_path: str) -> int:
-        return self.mount.size(shard_path)
+        return self.mount.stat(shard_path)
 
     def listdir(self, relpath: str = ".") -> list[str]:
         return self.mount.listdir(relpath)
@@ -321,10 +375,10 @@ class NFSBackend(StorageBackend):
 __all__ = [
     "LocalFSBackend",
     "LocalFSHandle",
-    "LocalStorage",
     "NFSBackend",
     "RemoteShardHandle",
     "ShardHandle",
     "StorageBackend",
+    "StorageStats",
     "parse_record_block",
 ]

@@ -1,7 +1,8 @@
 """NFS-like client mount.
 
-Exposes the same read API as :class:`~repro.storage.localfs.LocalStorage`
-but forwards every operation to a :class:`~repro.storage.server.StorageServer`
+Exposes the same read methods as
+:class:`~repro.storage.backend.LocalFSBackend` (``read_bytes`` / ``stat`` /
+``listdir``) but forwards every operation to a :class:`~repro.storage.server.StorageServer`
 over a (possibly latency-shaped) channel.  A connection pool lets multi-
 worker loaders issue concurrent reads — each worker still pays one RTT per
 read, like real NFS without client caching.
@@ -15,7 +16,7 @@ import threading
 from repro.net.channel import Channel, connect_channel
 from repro.net.emulation import NetworkProfile
 from repro.serialize.msgpack import packb, unpackb
-from repro.storage.localfs import StorageStats
+from repro.storage.backend import StorageStats
 
 
 class NFSError(OSError):
@@ -68,22 +69,18 @@ class NFSMount:
             raise NFSError(resp.get("error", "unknown remote error"))
         return resp
 
-    # -- LocalStorage-compatible API -----------------------------------------
+    # -- the LocalFSBackend read methods, one round trip each ----------------
 
-    def size(self, relpath: str) -> int:
+    def stat(self, relpath: str) -> int:
         self.stats.record_stat()
         return self._call({"op": "stat", "path": relpath})["size"]
 
-    def read_at(self, relpath: str, offset: int, nbytes: int) -> bytes:
+    def read_bytes(self, relpath: str, offset: int, nbytes: int) -> bytes:
         data = self._call(
             {"op": "read", "path": relpath, "offset": offset, "nbytes": nbytes}
         )["data"]
         self.stats.record_read(len(data))
         return data
-
-    def read_all(self, relpath: str) -> bytes:
-        size = self.size(relpath)
-        return self.read_at(relpath, 0, size)
 
     def listdir(self, relpath: str = ".") -> list[str]:
         self.stats.record_listdir()

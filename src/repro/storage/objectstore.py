@@ -22,8 +22,7 @@ import time
 from pathlib import Path
 
 from repro.net.emulation import NetworkProfile
-from repro.storage.backend import RemoteShardHandle, StorageBackend
-from repro.storage.localfs import LocalStorage
+from repro.storage.backend import LocalFSBackend, RemoteShardHandle, StorageBackend
 
 
 class ObjectStoreBackend(StorageBackend):
@@ -56,7 +55,7 @@ class ObjectStoreBackend(StorageBackend):
             raise ValueError(
                 f"request_latency_s must be >= 0, got {request_latency_s}"
             )
-        self._store = LocalStorage(root)
+        self._store = LocalFSBackend(root)
         self.request_latency_s = request_latency_s
         self.profile = profile
         self.verify = verify
@@ -77,11 +76,11 @@ class ObjectStoreBackend(StorageBackend):
     def read_bytes(self, shard_path: str, offset: int, nbytes: int) -> bytes:
         """One emulated ``GET Range: bytes=offset-`` request."""
         self._request(nbytes)
-        return self._store.read_at(shard_path, offset, nbytes)
+        return self._store.read_bytes(shard_path, offset, nbytes)
 
     def stat(self, shard_path: str) -> int:
         self._request()
-        return self._store.size(shard_path)
+        return self._store.stat(shard_path)
 
     def listdir(self, relpath: str = ".") -> list[str]:
         self._request()

@@ -21,11 +21,11 @@ from repro.net.channel import Channel, Listener
 from repro.net.emulation import NetworkProfile
 from repro.net.framing import ConnectionClosed
 from repro.serialize.msgpack import packb, unpackb
-from repro.storage.localfs import LocalStorage
+from repro.storage.backend import LocalFSBackend
 
 
 class StorageServer:
-    """Threaded server exposing one LocalStorage over TCP."""
+    """Threaded server exposing one :class:`LocalFSBackend` over TCP."""
 
     def __init__(
         self,
@@ -34,7 +34,7 @@ class StorageServer:
         port: int = 0,
         profile: NetworkProfile | None = None,
     ) -> None:
-        self.storage = LocalStorage(root)
+        self.storage = LocalFSBackend(root)
         self._channels: list[Channel] = []
         self._chan_lock = threading.Lock()
         self._closed = False
@@ -78,10 +78,10 @@ class StorageServer:
         try:
             op = req.get("op")
             if op == "read":
-                data = self.storage.read_at(req["path"], req["offset"], req["nbytes"])
+                data = self.storage.read_bytes(req["path"], req["offset"], req["nbytes"])
                 return {"ok": True, "data": data}
             if op == "stat":
-                return {"ok": True, "size": self.storage.size(req["path"])}
+                return {"ok": True, "size": self.storage.stat(req["path"])}
             if op == "listdir":
                 return {"ok": True, "names": self.storage.listdir(req.get("path", "."))}
             if op == "ping":

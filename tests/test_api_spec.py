@@ -168,17 +168,26 @@ def test_pipeline_spec_resolves_to_config():
     cfg = FULL.pipeline.to_config()
     assert cfg.batch_size == 4 and cfg.coverage == "replicate"
     assert cfg.effective_reorder_window == 3 * 8  # AUTO: streams x hwm
-    assert cfg.workers == 1 and cfg.payload_version == 3  # the defaults
+    assert cfg.workers == 1  # the default
 
 
-def test_pipeline_spec_forwards_workers_and_payload_version():
-    spec = PipelineSpec(workers=4, payload_version=2)
-    cfg = spec.to_config()
-    assert cfg.workers == 4 and cfg.payload_version == 2
-    # And they survive the serialization round trip like every knob.
+def test_pipeline_spec_forwards_workers():
+    spec = PipelineSpec(workers=4)
+    assert spec.to_config().workers == 4
+    # And it survives the serialization round trip like every knob.
     cluster = ClusterSpec(pipeline=spec)
     assert ClusterSpec.from_toml(cluster.to_toml()).pipeline.workers == 4
-    assert ClusterSpec.from_json(cluster.to_json()).pipeline.payload_version == 2
+    assert ClusterSpec.from_json(cluster.to_json()).pipeline.workers == 4
+
+
+def test_removed_payload_version_key_fails_loudly():
+    """Daemons always emit schema v3; a spec still setting the removed
+    ``pipeline.payload_version`` knob is refused with the key named, from
+    code and from a file alike."""
+    with pytest.raises(SpecError, match="unknown key.*'payload_version'"):
+        PipelineSpec(payload_version=2)
+    with pytest.raises(SpecError, match="unknown key.*'payload_version'"):
+        ClusterSpec.from_toml("[pipeline]\nbatch_size = 4\npayload_version = 2\n")
 
 
 @pytest.mark.parametrize("verify", [True, False, "open"])

@@ -100,9 +100,9 @@ def test_nfs_mount_survives_transient_errors(small_imagenet):
     srv = StorageServer(str(small_imagenet.root))
     mount = NFSMount("127.0.0.1", srv.port)
     with pytest.raises(NFSError):
-        mount.read_at("no-such-shard.tfrecord", 0, 10)
+        mount.read_bytes("no-such-shard.tfrecord", 0, 10)
     # The pool connection is still healthy.
-    assert mount.size(small_imagenet.indexes[0].path) > 0
+    assert mount.stat(small_imagenet.indexes[0].path) > 0
     mount.close()
     srv.close()
 

@@ -6,14 +6,14 @@ import pytest
 from repro.loaders.base import epoch_sample_order
 from repro.loaders.dali_loader import DALIStyleLoader
 from repro.loaders.pytorch_loader import PyTorchStyleLoader
-from repro.storage.localfs import LocalStorage
+from repro.storage.backend import LocalFSBackend
 from repro.storage.nfs import NFSMount
 from repro.storage.server import StorageServer
 
 
 @pytest.fixture
 def local_storage(small_imagenet):
-    return LocalStorage(small_imagenet.root)
+    return LocalFSBackend(small_imagenet.root)
 
 
 def expected_labels(ds):
@@ -144,7 +144,7 @@ def test_dali_loader_epoch_shuffles_shards(tmp_path):
 
     samples = [(bytes([i % 251]) * 40, i % 5) for i in range(32)]
     ds = write_shards(samples, tmp_path, records_per_shard=2)
-    loader = DALIStyleLoader(ds, LocalStorage(ds.root), batch_size=2, output_hw=(16, 16))
+    loader = DALIStyleLoader(ds, LocalFSBackend(ds.root), batch_size=2, output_hw=(16, 16))
     p0 = [(p, o) for p, o, _n, _l in loader._plan_batches(0)]
     p1 = [(p, o) for p, o, _n, _l in loader._plan_batches(1)]
     assert p0 != p1

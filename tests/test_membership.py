@@ -22,10 +22,10 @@ from repro.core.membership import (
     MembershipConfig,
     MembershipEvent,
 )
+from repro.core.placement import PlacementEngine
 from repro.core.planner import BatchAssignment, BatchPlan
 from repro.core.recovery import (
     DeliveryLedger,
-    FailoverCoordinator,
     FailoverError,
     RecoveryConfig,
 )
@@ -463,7 +463,7 @@ def test_receiver_failover_replan_properties(case):
     ledger = DeliveryLedger(None)
     for key in delivered:
         ledger.record(*key)
-    coord = FailoverCoordinator(
+    engine = PlacementEngine(
         plan, ledger, {"rootA": None, "rootB": None},
         reachable=lambda root, path: True,
     )
@@ -473,7 +473,7 @@ def test_receiver_failover_replan_properties(case):
                default=-1) + 1
         for n in survivors
     }
-    result = coord.plan_receiver_failover(dead, 0, survivors, next_seq)
+    result = engine.plan_receiver_failover(dead, 0, survivors, next_seq)
 
     owed = {
         (a.epoch, a.node_id, a.batch_index)
@@ -516,11 +516,11 @@ def test_receiver_failover_replan_properties(case):
 def test_receiver_failover_balances_across_survivors(case):
     plan, dead, _delivered = case
     ledger = DeliveryLedger(None)
-    coord = FailoverCoordinator(plan, ledger, {"r": None},
-                                reachable=lambda root, path: True)
+    engine = PlacementEngine(plan, ledger, {"r": None},
+                             reachable=lambda root, path: True)
     survivors = [n for n in range(plan.num_nodes) if n != dead]
     next_seq = {n: 100 for n in survivors}
-    result = coord.plan_receiver_failover(dead, 0, survivors, next_seq)
+    result = engine.plan_receiver_failover(dead, 0, survivors, next_seq)
     if result.extra_per_node:
         counts = [result.extra_per_node.get(n, 0) for n in survivors]
         assert max(counts) - min(counts) <= 1  # least-loaded placement
@@ -531,10 +531,10 @@ def test_receiver_failover_no_survivors_raises(small_imagenet):
     from repro.core.planner import Planner
 
     plan = Planner(small_imagenet, num_nodes=1, config=cfg).plan()
-    coord = FailoverCoordinator(plan, DeliveryLedger(None), {"r": None},
-                                reachable=lambda root, path: True)
+    engine = PlacementEngine(plan, DeliveryLedger(None), {"r": None},
+                             reachable=lambda root, path: True)
     with pytest.raises(FailoverError, match="no surviving receiver"):
-        coord.plan_receiver_failover(0, 0, surviving_nodes=[], next_seq={})
+        engine.plan_receiver_failover(0, 0, surviving_nodes=[], next_seq={})
 
 
 def test_receiver_failover_unreachable_shard_raises(small_imagenet):
@@ -542,10 +542,10 @@ def test_receiver_failover_unreachable_shard_raises(small_imagenet):
     from repro.core.planner import Planner
 
     plan = Planner(small_imagenet, num_nodes=2, config=cfg).plan()
-    coord = FailoverCoordinator(plan, DeliveryLedger(None), {"r": None},
-                                reachable=lambda root, path: False)
+    engine = PlacementEngine(plan, DeliveryLedger(None), {"r": None},
+                             reachable=lambda root, path: False)
     with pytest.raises(FailoverError, match="no surviving root"):
-        coord.plan_receiver_failover(0, 0, surviving_nodes=[1], next_seq={1: 0})
+        engine.plan_receiver_failover(0, 0, surviving_nodes=[1], next_seq={1: 0})
 
 
 # -- receiver hang detection (consumption-boundary progress) -------------------

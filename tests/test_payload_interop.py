@@ -1,16 +1,18 @@
 """Mixed-version payload interop and the deploy-level columnar knobs.
 
-The daemon emits whichever schema ``payload_version`` selects; the
-receiver's decode accepts every compatible version.  So a cluster can
-roll the v3 columnar layout out daemon by daemon — these tests pin that:
-a forced-v2 service/deployment behaves exactly like before, and daemons
-on different versions feed one receiver in the same epoch.
+Daemons always emit the v3 columnar schema; the receiver's decode accepts
+every compatible version.  These tests pin both halves: a live epoch
+reaches the receiver as v3 frames only, and frames in the older v2 row
+layout (produced here by patching the daemon's encoder) are consumed next
+to v3 frames in the same epoch.
 """
 
-import dataclasses
+from collections import Counter
 
 import pytest
 
+import repro.core.daemon as daemon_mod
+import repro.core.receiver as receiver_mod
 from repro.api import (
     ClusterSpec,
     DatasetSpec,
@@ -20,6 +22,7 @@ from repro.api import (
 )
 from repro.core.config import EMLIOConfig
 from repro.core.service import EMLIOService
+from repro.net.buffers import ColumnarSamples, LeasedSamples
 
 
 def _collect_epoch(service, epoch=0):
@@ -30,35 +33,63 @@ def _expected_labels(dataset):
     return sorted(l for labels in dataset.labels().values() for l in labels)
 
 
-@pytest.mark.parametrize("payload_version", [2, 3])
-def test_forced_version_service_delivers_all_samples(small_imagenet, payload_version):
-    cfg = EMLIOConfig(batch_size=4, hwm=8, output_hw=(16, 16),
-                      payload_version=payload_version)
+@pytest.fixture
+def decoded_layouts(monkeypatch):
+    """Counts the sample carrier of every frame the receiver decodes:
+    :class:`ColumnarSamples` for v3 frames, :class:`LeasedSamples` for
+    the v1/v2 row layout."""
+    layouts = Counter()
+    real = receiver_mod.decode_batch
+
+    def spy(*args, **kwargs):
+        payload = real(*args, **kwargs)
+        layouts[type(payload.samples)] += 1
+        return payload
+
+    monkeypatch.setattr(receiver_mod, "decode_batch", spy)
+    return layouts
+
+
+def test_service_emits_v3_and_delivers_all_samples(small_imagenet, decoded_layouts):
+    cfg = EMLIOConfig(batch_size=4, hwm=8, output_hw=(16, 16))
     with EMLIOService(cfg, small_imagenet) as svc:
         got = sorted(int(l) for _t, ls in _collect_epoch(svc) for l in ls)
     assert got == _expected_labels(small_imagenet)
+    assert set(decoded_layouts) == {ColumnarSamples}
 
 
-def test_mixed_version_daemons_feed_one_receiver(small_imagenet):
+def test_mixed_version_daemons_feed_one_receiver(
+    small_imagenet, monkeypatch, decoded_layouts
+):
     """A v2 daemon and a v3 daemon serving halves of the same epoch: the
     receiver decodes both wire layouts into one coherent batch stream."""
-    cfg = EMLIOConfig(batch_size=4, hwm=8, output_hw=(16, 16), payload_version=3)
+    cfg = EMLIOConfig(batch_size=4, hwm=8, output_hw=(16, 16))
     shards = [ix.shard for ix in small_imagenet.indexes]
+    v2_shards = set(shards[: len(shards) // 2])
     split = {
-        str(small_imagenet.root): set(shards[: len(shards) // 2]),
+        str(small_imagenet.root): v2_shards,
         str(small_imagenet.root) + "/.": set(shards[len(shards) // 2 :]),
     }
+    # The first daemon's shards go out in the row layout — a sender still
+    # on v2 next to a v3 one, the mid-rollout cluster.
+    real_encode = daemon_mod.encode_batch_parts
+    emitted = Counter()
+
+    def mixed_encode(payload, *args, **kwargs):
+        version = 2 if payload.shard in v2_shards else 3
+        emitted[version] += 1
+        return real_encode(payload, *args, version=version, **kwargs)
+
+    monkeypatch.setattr(daemon_mod, "encode_batch_parts", mixed_encode)
     with EMLIOService(cfg, small_imagenet, storage_shards=split) as svc:
         assert len(svc.daemons) == 2
-        # One daemon stays on the row layout — the mid-rollout cluster.
-        svc.daemons[0].config = dataclasses.replace(
-            svc.daemons[0].config, payload_version=2
-        )
         got = sorted(int(l) for _t, ls in _collect_epoch(svc) for l in ls)
-        versions = sorted(d.config.payload_version for d in svc.daemons)
         sent = [d.stats.snapshot()["batches_sent"] for d in svc.daemons]
-    assert versions == [2, 3]
-    assert all(s > 0 for s in sent)  # both layouts actually hit the wire
+    assert set(emitted) == {2, 3}
+    assert all(s > 0 for s in sent)  # both daemons actually hit the wire
+    # ...and the receiver consumed both layouts in the one epoch.
+    assert decoded_layouts[LeasedSamples] > 0
+    assert decoded_layouts[ColumnarSamples] > 0
     assert got == _expected_labels(small_imagenet)
 
 
@@ -71,16 +102,6 @@ def _spec(**pipeline_overrides) -> ClusterSpec:
         pipeline=PipelineSpec(**pipeline),
         receivers=ReceiverSpec(stall_timeout_s=20.0),
     )
-
-
-def test_forced_v2_deployment_passes_e2e(small_imagenet):
-    """ACCEPTANCE: a deployment forced to payload_version=2 runs the e2e
-    path unchanged — the columnar rollout is fully reversible."""
-    with EMLIO.deploy(_spec(payload_version=2), dataset=small_imagenet) as dep:
-        got = sorted(int(l) for _t, ls in dep.epoch(0) for l in ls)
-        status = dep.status()
-    assert got == _expected_labels(small_imagenet)
-    assert status["pipeline"]["stages"]["workers"] == 1
 
 
 def test_worker_pool_deployment_reports_stage_timing(small_imagenet):

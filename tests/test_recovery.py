@@ -17,13 +17,13 @@ import pytest
 
 from repro.core.config import EMLIOConfig
 from repro.core.daemon import EMLIODaemon
+from repro.core.placement import PlacementEngine
 from repro.core.planner import Planner
 from repro.core.provider import BatchProvider
 from repro.core.recovery import (
     DaemonKilled,
     DeliveryLedger,
     EpochServeError,
-    FailoverCoordinator,
     FailoverError,
     RecoveryConfig,
 )
@@ -444,10 +444,10 @@ def test_killed_daemon_raises_daemon_killed(small_imagenet):
     pull.close()
 
 
-# -- FailoverCoordinator planning ----------------------------------------------
+# -- failover planning (PlacementEngine) ---------------------------------------
 
 
-def _coordinator(small_imagenet, delivered=(), roots=None, reachable=None):
+def _engine(small_imagenet, delivered=(), roots=None, reachable=None):
     cfg = EMLIOConfig(batch_size=4)
     plan = Planner(small_imagenet, num_nodes=1, config=cfg).plan()
     ledger = DeliveryLedger(None)
@@ -456,54 +456,54 @@ def _coordinator(small_imagenet, delivered=(), roots=None, reachable=None):
     shards = sorted(ix.shard for ix in small_imagenet.indexes)
     if roots is None:
         roots = {"a": {shards[0]}, "b": set(shards[1:])}
-    return plan, FailoverCoordinator(plan, ledger, roots, reachable=reachable)
+    return plan, PlacementEngine(plan, ledger, roots, reachable=reachable)
 
 
 def test_failover_targets_only_undelivered_shard_batches(small_imagenet):
-    plan, coord = _coordinator(small_imagenet, reachable=lambda root, path: True)
-    dead_shards = coord.shards_of("a")
-    residual = coord.residual_plan(0, shards=dead_shards)
+    plan, engine = _engine(small_imagenet, reachable=lambda root, path: True)
+    dead_shards = engine.shards_of("a")
+    residual = engine.residual_plan(0, shards=dead_shards)
     assert all(a.shard in dead_shards for a in residual.assignments)
-    takeover = coord.plan_failover("a", 0)
+    takeover = engine.plan_failover("a", 0)
     assert set().union(*takeover.values()) == {a.shard for a in residual.assignments}
     assert "a" not in takeover  # the dead root never takes its own shards
 
 
 def test_failover_skips_fully_delivered_shards(small_imagenet):
-    plan, coord0 = _coordinator(small_imagenet, reachable=lambda r, p: True)
-    dead_shards = coord0.shards_of("a")
+    plan, engine0 = _engine(small_imagenet, reachable=lambda r, p: True)
+    dead_shards = engine0.shards_of("a")
     delivered = [
         (a.epoch, a.node_id, a.batch_index)
         for a in plan.assignments
         if a.shard in dead_shards
     ]
-    _plan, coord = _coordinator(
+    _plan, engine = _engine(
         small_imagenet, delivered=delivered, reachable=lambda r, p: True
     )
-    assert coord.plan_failover("a", 0) == {}  # nothing owed, nothing to move
+    assert engine.plan_failover("a", 0) == {}  # nothing owed, nothing to move
 
 
 def test_failover_unreachable_shard_raises(small_imagenet):
-    _plan, coord = _coordinator(small_imagenet, reachable=lambda root, path: False)
+    _plan, engine = _engine(small_imagenet, reachable=lambda root, path: False)
     with pytest.raises(FailoverError, match="no surviving daemon"):
-        coord.plan_failover("a", 0)
+        engine.plan_failover("a", 0)
 
 
 def test_failover_explicit_survivors_can_include_dead_root(small_imagenet):
     """A root stays a takeover target while any daemon on it is alive —
     e.g. a failover daemon died on root 'b' but b's original daemon lives."""
-    _plan, coord = _coordinator(small_imagenet, reachable=lambda root, path: True)
-    takeover = coord.plan_failover("a", 0, survivors=["a", "b"])
+    _plan, engine = _engine(small_imagenet, reachable=lambda root, path: True)
+    takeover = engine.plan_failover("a", 0, survivors=["a", "b"])
     placed = set().union(*takeover.values()) if takeover else set()
-    assert placed == coord.shards_of("a") & {
-        a.shard for a in coord.residual_plan(0).assignments
+    assert placed == engine.shards_of("a") & {
+        a.shard for a in engine.residual_plan(0).assignments
     }
     # With survivors restricted to an unreachable set, it refuses loudly.
-    _plan2, coord2 = _coordinator(
+    _plan2, engine2 = _engine(
         small_imagenet, reachable=lambda root, path: root == "b"
     )
     with pytest.raises(FailoverError):
-        coord2.plan_failover("a", 0, survivors=["c"])
+        engine2.plan_failover("a", 0, survivors=["c"])
 
 
 # -- end-to-end chaos scenarios ------------------------------------------------

@@ -5,8 +5,10 @@ import time
 
 import pytest
 
+from repro.net.channel import connect_channel
 from repro.net.emulation import NetworkProfile
-from repro.storage.localfs import LocalStorage
+from repro.serialize.msgpack import packb, unpackb
+from repro.storage.backend import LocalFSBackend
 from repro.storage.nfs import NFSError, NFSMount
 from repro.storage.server import StorageServer
 
@@ -19,33 +21,33 @@ def tree(tmp_path):
     return tmp_path
 
 
-# -- LocalStorage ---------------------------------------------------------------
+# -- LocalFSBackend: the one local read path -----------------------------------
 
 
 def test_local_read_at(tree):
-    fs = LocalStorage(tree)
-    assert fs.read_at("a.bin", 0, 4) == bytes([0, 1, 2, 3])
-    assert fs.read_at("a.bin", 256, 2) == bytes([0, 1])
+    fs = LocalFSBackend(tree)
+    assert fs.read_bytes("a.bin", 0, 4) == bytes([0, 1, 2, 3])
+    assert fs.read_bytes("a.bin", 256, 2) == bytes([0, 1])
 
 
 def test_local_size_and_exists(tree):
-    fs = LocalStorage(tree)
-    assert fs.size("a.bin") == 1024
-    assert fs.exists("a.bin")
-    assert not fs.exists("missing.bin")
+    fs = LocalFSBackend(tree)
+    assert fs.stat("a.bin") == 1024
+    with pytest.raises(FileNotFoundError):
+        fs.stat("missing.bin")
 
 
 def test_local_listdir(tree):
-    fs = LocalStorage(tree)
+    fs = LocalFSBackend(tree)
     assert fs.listdir() == ["a.bin", "sub"]
     assert fs.listdir("sub") == ["b.bin"]
 
 
 def test_local_stats_accounting(tree):
-    fs = LocalStorage(tree)
-    fs.read_at("a.bin", 0, 100)
-    fs.read_at("a.bin", 100, 100)
-    fs.size("a.bin")
+    fs = LocalFSBackend(tree)
+    fs.read_bytes("a.bin", 0, 100)
+    fs.read_bytes("a.bin", 100, 100)
+    fs.stat("a.bin")
     snap = fs.stats.snapshot()
     assert snap["reads"] == 2
     assert snap["bytes_read"] == 200
@@ -53,20 +55,46 @@ def test_local_stats_accounting(tree):
 
 
 def test_local_escape_rejected(tree):
-    fs = LocalStorage(tree)
+    fs = LocalFSBackend(tree)
     with pytest.raises(PermissionError):
-        fs.read_at("../etc/passwd", 0, 10)
+        fs.read_bytes("../etc/passwd", 0, 10)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda fs, p: fs.read_bytes(p, 0, 10),
+        lambda fs, p: fs.stat(p),
+        lambda fs, p: fs.listdir(p),
+        lambda fs, p: fs.open_shard(p),
+    ],
+    ids=["read_bytes", "stat", "listdir", "open_shard"],
+)
+@pytest.mark.parametrize("escape", ["../outside.bin", "sub/../../outside.bin", "link.bin"])
+def test_local_every_entry_point_confined_to_root(tmp_path, call, escape):
+    """Paths reach the backend from the network (the storage server), so no
+    entry point may leave the root — neither by ``..`` nor by a symlink."""
+    root = tmp_path / "root"
+    (root / "sub").mkdir(parents=True)
+    (tmp_path / "outside.bin").write_bytes(b"secret")
+    (root / "link.bin").symlink_to(tmp_path / "outside.bin")
+    fs = LocalFSBackend(root)
+    with pytest.raises(PermissionError, match="escapes storage root"):
+        call(fs, escape)
+    assert fs.stats.snapshot()["reads"] == 0
 
 
 def test_local_invalid_read_params(tree):
-    fs = LocalStorage(tree)
+    fs = LocalFSBackend(tree)
     with pytest.raises(ValueError):
-        fs.read_at("a.bin", -1, 10)
+        fs.read_bytes("a.bin", -1, 10)
+    with pytest.raises(ValueError):
+        fs.read_bytes("a.bin", 0, -1)
 
 
 def test_local_root_must_be_dir(tree):
     with pytest.raises(NotADirectoryError):
-        LocalStorage(tree / "a.bin")
+        LocalFSBackend(tree / "a.bin")
 
 
 # -- StorageServer + NFSMount -----------------------------------------------------
@@ -82,9 +110,9 @@ def server(tree):
 def test_nfs_roundtrip(server, tree):
     mount = NFSMount("127.0.0.1", server.port)
     assert mount.ping()
-    assert mount.size("a.bin") == 1024
-    assert mount.read_at("a.bin", 0, 8) == bytes(range(8))
-    assert mount.read_all("sub/b.bin") == b"nested"
+    assert mount.stat("a.bin") == 1024
+    assert mount.read_bytes("a.bin", 0, 8) == bytes(range(8))
+    assert mount.read_bytes("sub/b.bin", 0, mount.stat("sub/b.bin")) == b"nested"
     assert mount.listdir() == ["a.bin", "sub"]
     mount.close()
 
@@ -92,14 +120,14 @@ def test_nfs_roundtrip(server, tree):
 def test_nfs_error_propagates(server):
     mount = NFSMount("127.0.0.1", server.port)
     with pytest.raises(NFSError):
-        mount.size("no-such-file.bin")
+        mount.stat("no-such-file.bin")
     mount.close()
 
 
 def test_nfs_stats(server):
     mount = NFSMount("127.0.0.1", server.port)
-    mount.read_at("a.bin", 0, 10)
-    mount.size("a.bin")
+    mount.read_bytes("a.bin", 0, 10)
+    mount.stat("a.bin")
     snap = mount.stats.snapshot()
     assert snap["reads"] == 1 and snap["stats"] == 1
     mount.close()
@@ -111,7 +139,7 @@ def test_nfs_concurrent_reads(server):
     lock = threading.Lock()
 
     def worker(off):
-        data = mount.read_at("a.bin", off, 16)
+        data = mount.read_bytes("a.bin", off, 16)
         with lock:
             results.append((off, data))
 
@@ -135,7 +163,7 @@ def test_nfs_rtt_cost_per_operation(tree):
     mount.ping()  # warm up connection
     start = time.monotonic()
     for i in range(5):
-        mount.read_at("a.bin", i, 1)
+        mount.read_bytes("a.bin", i, 1)
     elapsed = time.monotonic() - start
     assert elapsed >= 5 * 0.04 * 0.9
     mount.close()
@@ -150,7 +178,7 @@ def test_nfs_parallel_reads_overlap_rtt(tree):
     mount.ping()
     start = time.monotonic()
     threads = [
-        threading.Thread(target=mount.read_at, args=("a.bin", i, 1)) for i in range(8)
+        threading.Thread(target=mount.read_bytes, args=("a.bin", i, 1)) for i in range(8)
     ]
     for t in threads:
         t.start()
@@ -163,10 +191,26 @@ def test_nfs_parallel_reads_overlap_rtt(tree):
     srv.close()
 
 
+def test_server_read_outside_root_is_refused(server):
+    """A ``read`` op naming a path outside the served root answers
+    ``ok: false`` instead of bytes."""
+    host, port = server.address
+    chan = connect_channel(host, port)
+    try:
+        chan.send(packb({"op": "read", "path": "../../etc/passwd",
+                         "offset": 0, "nbytes": 64}))
+        resp = unpackb(chan.recv())
+    finally:
+        chan.close()
+    assert resp["ok"] is False
+    assert "PermissionError" in resp["error"]
+    assert "data" not in resp
+
+
 def test_server_request_counter(server):
     mount = NFSMount("127.0.0.1", server.port)
     mount.ping()
-    mount.size("a.bin")
+    mount.stat("a.bin")
     deadline = time.monotonic() + 2
     while server.requests_served < 2 and time.monotonic() < deadline:
         time.sleep(0.01)
@@ -183,4 +227,4 @@ def test_mount_closed_rejects_ops(server):
     mount = NFSMount("127.0.0.1", server.port)
     mount.close()
     with pytest.raises(RuntimeError):
-        mount.size("a.bin")
+        mount.stat("a.bin")

@@ -371,7 +371,7 @@ def test_storage_spec_validates_cache_and_latency():
 def test_nfs_backend_serves_daemon_reads_through_the_mount(small_imagenet):
     """Regression: ``backend = "nfs"`` used to be a silent no-op — the
     daemon kept mmap'ing local files.  Now every daemon read is a counted
-    ``read_at`` on the mount, observable in the deployment's stats."""
+    ``read_bytes`` on the mount, observable in the deployment's stats."""
     spec = ClusterSpec(
         name="nfs-tier",
         dataset=replace(preset("quickstart").dataset),
